@@ -216,68 +216,12 @@ bool StepFromSetupStateful(Runtime& runtime, std::uint64_t max_steps,
   return true;
 }
 
-bool StepToCompletionStateful(Runtime& runtime, const Harness& harness,
-                              std::uint64_t max_steps,
-                              std::uint64_t prune_run,
-                              std::uint64_t prune_holdoff, VisitedSet& visited,
-                              ExecutionResult& result) {
-  harness(runtime);
-  return StepFromSetupStateful(runtime, max_steps, prune_run, prune_holdoff,
-                               visited, result);
-}
-
 }  // namespace
 
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps) {
   harness(runtime);
   return StepFromSetup(runtime, max_steps);
-}
-
-ExecutionResult RunOneExecution(const TestConfig& config,
-                                const Harness& harness,
-                                SchedulingStrategy& strategy,
-                                std::uint64_t iteration,
-                                VisitedSet* visited, obs::WorkerObs* obs) {
-  ExecutionResult result;
-  if (config.fault_placement_points > 0) {
-    // Arm pre-sampled fault placement before PrepareIteration samples the
-    // points (an int store per execution; strategies that don't sample stay
-    // on geometric placement).
-    strategy.SetFaultPlacementPoints(config.fault_placement_points);
-  }
-  strategy.PrepareIteration(iteration, config.max_steps);
-  RuntimeOptions options = MakeRuntimeOptions(config, false);
-  if (obs != nullptr) {
-    obs->BeginExecution();
-    options.probe = &obs->probe;
-  }
-  Runtime runtime(strategy, options);
-  try {
-    if (config.stateful && visited != nullptr) {
-      result.hit_step_bound = StepToCompletionStateful(
-          runtime, harness, config.max_steps, config.prune_run,
-          strategy.PruneHoldoffSteps(), *visited, result);
-    } else {
-      result.hit_step_bound =
-          StepToCompletion(runtime, harness, config.max_steps);
-    }
-  } catch (const BugFound& bug) {
-    result.bug_found = true;
-    result.bug_kind = bug.Kind();
-    result.bug_message = bug.what();
-  }
-  result.steps = runtime.Steps();
-  result.faults = runtime.GetFaultStats();
-  if (obs != nullptr) {
-    // Flush while the runtime is still alive: coverage walks its machines.
-    obs->FlushExecution(runtime, result, visited);
-  }
-  result.trace = runtime.TakeTrace();  // O(1): the runtime dies right here
-  if (config.stateful && config.record_fingerprint_trail) {
-    result.fingerprint_trail = runtime.TakeFingerprintTrail();
-  }
-  return result;
 }
 
 ExecutionRunner::ExecutionRunner(const TestConfig& config,
@@ -295,17 +239,17 @@ ExecutionRunner::ExecutionRunner(const TestConfig& config,
   }
 }
 
-ExecutionRunner::~ExecutionRunner() { DropRecycledRuntime(); }
+ExecutionRunner::~ExecutionRunner() { DropRuntime(); }
 
-void ExecutionRunner::DropRecycledRuntime() {
+void ExecutionRunner::DropRuntime() {
   if (runtime_ == nullptr) {
     return;
   }
-  // The sealed setup prototypes are heap/pool-backed and must see REAL
-  // deletes, so they are extracted first and die after the disarm below.
-  // Everything else the runtime still holds (queued events, coroutine-held
-  // events) is arena-backed, so the runtime itself must die while the arena
-  // is armed — those deletes have to no-op.
+  // The sealed setup prototypes are heap-backed and must see REAL deletes,
+  // so they are extracted first and die after the disarm below. Everything
+  // else the runtime still holds (queued events, coroutine-held events) is
+  // arena-backed, so the runtime itself must die while the arena is armed —
+  // those deletes have to no-op.
   std::vector<std::unique_ptr<const Event>> prototypes =
       runtime_->TakeSetupPrototypes();
   {
@@ -359,140 +303,182 @@ ExecutionResult ExecutionRunner::RunOne(std::uint64_t iteration,
                                         VisitedSet* visited) {
   ExecutionResult result;
   if (config_.fault_placement_points > 0) {
+    // Arm pre-sampled fault placement before PrepareIteration samples the
+    // points (strategies that don't sample stay on geometric placement).
     strategy_.SetFaultPlacementPoints(config_.fault_placement_points);
   }
   strategy_.PrepareIteration(iteration, config_.max_steps);
   if (obs_ != nullptr) {
     obs_->BeginExecution();
   }
-  switch (mode_) {
-    case Mode::kRecycling: {
-      const detail::ScopedEventArenaArm arm(arena_.get());
-      runtime_->ResetForNextExecution(arena_.get());
-      RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
-              visited);
-      return result;
-    }
-    case Mode::kProbing: {
-      if (arena_ == nullptr) {
-        arena_ = std::make_unique<detail::EventArena>();
-      }
-      {
-        // Armed optimistically: if the seal succeeds this execution's live
-        // events are already arena-backed, exactly like every later one.
-        const detail::ScopedEventArenaArm arm(arena_.get());
-        runtime_ = std::make_unique<Runtime>(strategy_, options_);
-        RunBody(*runtime_, /*run_harness=*/true, /*try_seal=*/true, result,
-                visited);
-      }
-      if (mode_ != Mode::kRecycling) {
-        // Opted out (or the harness itself threw, leaving mode_ at kProbing
-        // to retry the seal next time): this probe's runtime dies with its
-        // arena, and later executions take the fresh/pool path below.
-        DropRecycledRuntime();
-      }
-      return result;
-    }
-    case Mode::kFresh:
-      break;
+  if (mode_ == Mode::kRecycling) {
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_->ResetForNextExecution(arena_.get());
+    RunBody(*runtime_, /*run_harness=*/false, /*try_seal=*/false, result,
+            visited);
+    return result;
   }
-  Runtime runtime(strategy_, options_);
-  RunBody(runtime, /*run_harness=*/true, /*try_seal=*/false, result, visited);
+  {
+    // Armed on every build: if a probe's seal succeeds, this execution's
+    // live events are already arena-backed, exactly like every later one;
+    // otherwise the Runtime dies below and the epoch rewind frees them.
+    const detail::ScopedEventArenaArm arm(arena_.get());
+    runtime_ = std::make_unique<Runtime>(strategy_, options_);
+    RunBody(*runtime_, /*run_harness=*/true,
+            /*try_seal=*/mode_ == Mode::kProbing, result, visited);
+  }
+  if (mode_ != Mode::kRecycling) {
+    // Opted out (or the harness itself threw, leaving mode_ at kProbing to
+    // retry the seal next time).
+    DropRuntime();
+  }
   return result;
+}
+
+TieredOptions VisitedSetOptions(const TestConfig& config) {
+  TieredOptions options;
+  options.max_entries = static_cast<std::size_t>(config.max_visited);
+  options.hot_entries = static_cast<std::size_t>(config.max_visited_hot);
+  options.spill_dir = config.visited_spill_dir;
+  if (!options.spill_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.spill_dir, ec);
+  }
+  return options;
+}
+
+WorkerTally RunCampaignWorker(const TestConfig& config, const Harness& harness,
+                              int worker, Campaign& campaign,
+                              const IterationCallback& on_iteration) {
+  WorkerTally tally;
+  // Each worker owns a private strategy seeded from its config, and every
+  // Runtime it builds is thread-local: workers share nothing but `campaign`.
+  const auto strategy = StrategyRegistry::Instance().Create(
+      config.strategy, config.seed, config.strategy_budget);
+  tally.strategy_name = strategy->Name();
+  // Per-worker observability handle: the probe and coverage accumulator are
+  // private (lock-free), only the flush into the shared sharded instruments
+  // crosses threads.
+  std::unique_ptr<obs::WorkerObs> worker_obs;
+  if (campaign.metrics != nullptr) {
+    worker_obs = std::make_unique<obs::WorkerObs>(
+        *campaign.metrics, static_cast<std::size_t>(worker),
+        campaign.coverage);
+  }
+  // One runner (and one event arena) serves the whole budget. Declared
+  // after strategy / worker_obs: it borrows both and must die first.
+  ExecutionRunner runner(config, harness, *strategy, worker_obs.get());
+
+  const auto worker_start = Clock::now();
+  for (std::uint64_t i = 0; i < config.iterations; ++i) {
+    if (campaign.stop.load(std::memory_order_relaxed)) break;
+    if (config.time_budget_seconds > 0 &&
+        SecondsSince(campaign.start) >= config.time_budget_seconds) {
+      break;
+    }
+    ExecutionResult result = runner.RunOne(i, campaign.visited);
+    ++tally.executions;
+    tally.steps += result.steps;
+    if (result.pruned) ++tally.pruned_executions;
+    tally.fingerprint_hits += result.fingerprint_hits;
+    tally.fingerprint_misses += result.fingerprint_misses;
+    if (config.FaultsEnabled()) {
+      tally.injected_faults += result.faults;
+    }
+    if (campaign.corpus != nullptr && config.stateful &&
+        (result.fingerprint_misses > 0 || result.bug_found)) {
+      // Every worker feeds the corpus — including blind portfolio workers,
+      // whose discoveries seed the mutate workers racing them. Before the
+      // first-bug claim below moves the trace out. Heat = heatmap cells
+      // this execution visited first (0 without coverage collection).
+      campaign.corpus->Add(
+          result.trace, result.fingerprint_misses,
+          worker_obs != nullptr ? worker_obs->LastNewStateCells() : 0);
+    }
+    if (on_iteration) on_iteration(i, result);
+    if (result.bug_found) {
+      tally.bug_found = true;
+      // First bug wins; with stop_on_first_bug=false later buggy executions
+      // only contribute to the execution count.
+      int expected = -1;
+      if (campaign.winner.compare_exchange_strong(expected, worker,
+                                                  std::memory_order_acq_rel)) {
+        tally.won = true;
+        campaign.bug = std::move(result);
+        campaign.bug_iteration = i;
+        campaign.bug_seconds = SecondsSince(campaign.start);
+        if (config.stop_on_first_bug) {
+          campaign.stop.store(true, std::memory_order_release);
+        }
+      }
+      if (config.stop_on_first_bug) break;
+    }
+  }
+  tally.seconds = SecondsSince(worker_start);
+  if (worker_obs != nullptr && campaign.coverage) {
+    tally.coverage =
+        std::make_shared<obs::CoverageReport>(worker_obs->TakeCoverage());
+  }
+  return tally;
+}
+
+void AddWorkerTally(TestReport& report, const WorkerTally& tally) {
+  report.executions += tally.executions;
+  report.total_steps += tally.steps;
+  report.pruned_executions += tally.pruned_executions;
+  report.fingerprint_hits += tally.fingerprint_hits;
+  report.fingerprint_misses += tally.fingerprint_misses;
+  report.injected_faults += tally.injected_faults;
+}
+
+void FinishCampaignReport(TestReport& report, const TestConfig& config,
+                          Campaign& campaign) {
+  if (campaign.visited != nullptr) {
+    report.stateful = true;
+    report.distinct_states = campaign.visited->Size();
+    report.visited_budget = config.max_visited;
+    report.visited = campaign.visited->Stats();
+  }
+  report.faults = config.FaultsEnabled();
+  if (campaign.winner.load(std::memory_order_acquire) < 0) return;
+  ExecutionResult& bug = campaign.bug;
+  report.bug_found = true;
+  report.bug_kind = bug.bug_kind;
+  report.bug_message = bug.bug_message;
+  report.bug_iteration = campaign.bug_iteration + 1;
+  report.seconds_to_bug = campaign.bug_seconds;
+  report.ndc = bug.trace.Size();
+  report.bug_steps = bug.steps;
+  report.bug_trace = std::move(bug.trace);
 }
 
 TestingEngine::TestingEngine(TestConfig config, Harness harness)
     : config_(std::move(config)), harness_(std::move(harness)) {}
 
 TestReport TestingEngine::Run() {
-  TestReport report;
-  const auto strategy = StrategyRegistry::Instance().Create(
-      config_.strategy, config_.seed, config_.strategy_budget);
-  report.strategy_name = strategy->Name();
-  TieredOptions visited_options;
-  visited_options.max_entries = static_cast<std::size_t>(config_.max_visited);
-  visited_options.hot_entries =
-      static_cast<std::size_t>(config_.max_visited_hot);
-  visited_options.spill_dir = config_.visited_spill_dir;
-  if (!visited_options.spill_dir.empty()) {
-    // Creation failure is non-fatal: runs then stay in memory.
-    std::error_code ec;
-    std::filesystem::create_directories(visited_options.spill_dir, ec);
-  }
-  TieredFingerprintSet visited(visited_options);
-  VisitedSet* visited_ptr = config_.stateful ? &visited : nullptr;
-  std::unique_ptr<obs::WorkerObs> worker_obs;
-  if (metrics_ != nullptr) {
-    worker_obs =
-        std::make_unique<obs::WorkerObs>(*metrics_, /*worker_index=*/0,
-                                         coverage_);
-  }
-  // One recycled Runtime serves the whole budget when the harness opted in
-  // (kReusableRuntime); otherwise the runner transparently builds a fresh
-  // Runtime per iteration, exactly the old loop. Declared after strategy /
-  // worker_obs: the runner borrows both and must die first.
-  ExecutionRunner runner(config_, harness_, *strategy, worker_obs.get());
-  const auto start = Clock::now();
-
-  for (std::uint64_t iteration = 0; iteration < config_.iterations;
-       ++iteration) {
-    if (config_.time_budget_seconds > 0 &&
-        SecondsSince(start) >= config_.time_budget_seconds) {
-      break;
-    }
-    ++report.executions;
-    ExecutionResult result = runner.RunOne(iteration, visited_ptr);
-    report.total_steps += result.steps;
-    if (config_.stateful) {
-      report.fingerprint_hits += result.fingerprint_hits;
-      report.fingerprint_misses += result.fingerprint_misses;
-      if (result.pruned) ++report.pruned_executions;
-    }
-    if (config_.FaultsEnabled()) {
-      report.injected_faults += result.faults;
-    }
-    if (corpus_ != nullptr && config_.stateful &&
-        (result.fingerprint_misses > 0 || result.bug_found)) {
-      // Feed BEFORE the bug block below moves the trace out. Heat = heatmap
-      // cells this execution visited first (0 without coverage collection).
-      corpus_->Add(result.trace, result.fingerprint_misses,
-                   worker_obs != nullptr ? worker_obs->LastNewStateCells()
-                                         : 0);
-    }
-    if (on_iteration_) on_iteration_(iteration, result);
-    if (result.bug_found) {
-      if (!report.bug_found) {
-        // Keep the FIRST violation; with stop_on_first_bug=false later
-        // buggy executions only contribute to the execution count.
-        report.bug_found = true;
-        report.bug_kind = result.bug_kind;
-        report.bug_message = result.bug_message;
-        report.bug_iteration = iteration + 1;
-        report.seconds_to_bug = SecondsSince(start);
-        report.ndc = result.trace.Size();
-        report.bug_steps = result.steps;
-        report.bug_trace = std::move(result.trace);
-        if (config_.readable_trace_on_bug) {
-          report.execution_log = Replay(report.bug_trace).execution_log;
-        }
-      }
-      if (config_.stop_on_first_bug) {
-        break;
-      }
-    }
-  }
-  report.total_seconds = SecondsSince(start);
+  std::unique_ptr<TieredFingerprintSet> visited;
   if (config_.stateful) {
-    report.stateful = true;
-    report.distinct_states = visited.Size();
-    report.visited_budget = config_.max_visited;
-    report.visited = visited.Stats();
+    visited =
+        std::make_unique<TieredFingerprintSet>(VisitedSetOptions(config_));
   }
-  report.faults = config_.FaultsEnabled();
-  if (worker_obs != nullptr && coverage_) {
-    report.coverage =
-        std::make_shared<obs::CoverageReport>(worker_obs->TakeCoverage());
+  Campaign campaign;
+  campaign.visited = visited.get();
+  campaign.corpus = corpus_;
+  campaign.metrics = metrics_;
+  campaign.coverage = coverage_;
+  const WorkerTally tally =
+      RunCampaignWorker(config_, harness_, /*worker=*/0, campaign,
+                        on_iteration_);
+
+  TestReport report;
+  report.strategy_name = tally.strategy_name;
+  AddWorkerTally(report, tally);
+  FinishCampaignReport(report, config_, campaign);
+  if (report.bug_found && config_.readable_trace_on_bug) {
+    report.execution_log = Replay(report.bug_trace).execution_log;
   }
+  report.total_seconds = SecondsSince(campaign.start);
+  report.coverage = tally.coverage;
   return report;
 }
 

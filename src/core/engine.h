@@ -8,6 +8,8 @@
 // decision trace, which can be replayed to reproduce the bug deterministically.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,8 +48,7 @@ struct TestConfig {
   std::uint64_t seed = 0;
   /// Strategy name resolved through StrategyRegistry ("random", "pct",
   /// "round-robin", "delay-bounded", or any registered third-party name; a
-  /// "(N)" suffix overrides strategy_budget). Implicitly assignable from the
-  /// deprecated StrategyKind enum.
+  /// "(N)" suffix overrides strategy_budget).
   StrategyName strategy;
   int strategy_budget = 2;  ///< PCT priority change points / delay budget
   std::uint64_t liveness_temperature_threshold = 0;  ///< 0 = max_steps / 2
@@ -271,36 +272,26 @@ RuntimeOptions MakeRuntimeOptions(const TestConfig& config, bool logging);
 bool StepToCompletion(Runtime& runtime, const Harness& harness,
                       std::uint64_t max_steps);
 
-/// Runs exactly one execution of `harness` for the given 0-based `iteration`:
-/// prepares `strategy`, builds a fresh Runtime, steps it to completion and
-/// converts any BugFound into the returned result. This is the unit of work
-/// that both TestingEngine::Run and ParallelTestingEngine workers schedule.
-/// With config.stateful and a non-null `visited`, every post-step fingerprint
-/// is checked against the set and the execution is pruned after
-/// kFingerprintPruneRun consecutive known states (the serial engine passes
-/// its private FingerprintSet; explore workers share a sharded set).
-/// A non-null `obs` attaches its ExecutionProbe to the runtime and flushes
-/// the finished execution into the campaign instruments (obs/campaign.h);
-/// scheduling is bit-for-bit identical either way.
-ExecutionResult RunOneExecution(const TestConfig& config,
-                                const Harness& harness,
-                                SchedulingStrategy& strategy,
-                                std::uint64_t iteration,
-                                VisitedSet* visited = nullptr,
-                                obs::WorkerObs* obs = nullptr);
-
-/// Thread-affine execution recycler (ROADMAP "Raw speed: reuse everything
-/// across executions"): the stateful replacement for calling RunOneExecution
-/// in a loop. The first RunOne builds the Runtime and runs the harness as
-/// usual, then tries Runtime::SealForReuse. If every harness machine/monitor
-/// opted in (kReusableRuntime), the SAME Runtime serves every later
-/// execution via ResetForNextExecution, with events bump-allocated from an
-/// execution-scoped arena that rewinds between executions — no
-/// construction, no per-event frees, no trace reallocation. Otherwise the
-/// runner silently falls back to a fresh Runtime per execution on the
-/// thread-local event pool, bit-for-bit the pre-existing path. Results are
-/// identical either way: golden traces, fingerprints and RNG streams do not
-/// depend on which path ran (tests/core_recycle_test.cc pins this).
+/// Thread-affine execution runner (ROADMAP "Raw speed: reuse everything
+/// across executions"): the one way a campaign runs one execution. Each
+/// RunOne prepares the strategy for its 0-based iteration, steps the world to
+/// completion and converts any BugFound into the returned result. With
+/// config.stateful and a non-null `visited`, every post-step fingerprint is
+/// checked against the set and the execution is pruned after prune_run
+/// consecutive known states. A non-null `obs` attaches its ExecutionProbe to
+/// the runtime and flushes the finished execution into the campaign
+/// instruments (obs/campaign.h); scheduling is bit-for-bit identical either
+/// way.
+///
+/// The first RunOne builds the Runtime and runs the harness, then tries
+/// Runtime::SealForReuse. If every harness machine/monitor opted in
+/// (kReusableRuntime), the SAME Runtime serves every later execution via
+/// ResetForNextExecution. Otherwise every execution builds a fresh Runtime
+/// and drops it again. Either way events are bump-allocated from an
+/// execution-scoped arena that rewinds between executions. Results are
+/// identical on both paths: golden traces, fingerprints and RNG streams do
+/// not depend on which one ran (tests/core_recycle_test.cc pins this against
+/// a new runner per execution, whose single RunOne is always fresh).
 ///
 /// One runner per thread; it borrows config/harness/strategy/obs, which
 /// must outlive it. Replay never recycles (TestingEngine::Replay builds its
@@ -313,8 +304,8 @@ class ExecutionRunner {
   ExecutionRunner(const ExecutionRunner&) = delete;
   ExecutionRunner& operator=(const ExecutionRunner&) = delete;
 
-  /// Runs one execution for the 0-based `iteration` — drop-in for
-  /// RunOneExecution with this runner's bound config/harness/strategy/obs.
+  /// Runs one execution for the 0-based `iteration` with this runner's bound
+  /// config/harness/strategy/obs.
   ExecutionResult RunOne(std::uint64_t iteration, VisitedSet* visited);
 
   /// Whether the runner is currently recycling one sealed Runtime (false
@@ -327,17 +318,17 @@ class ExecutionRunner {
   enum class Mode : std::uint8_t {
     kProbing,    ///< first execution: build, run, try to seal
     kRecycling,  ///< sealed: reset-and-reuse with the arena armed
-    kFresh,      ///< opted out: fresh Runtime per execution, pool path
+    kFresh,      ///< opted out: fresh Runtime per execution, never sealed
   };
 
   /// harness (optional) + seal attempt (optional) + step loop + result
-  /// assembly, exactly mirroring RunOneExecution's order.
+  /// assembly.
   void RunBody(Runtime& runtime, bool run_harness, bool try_seal,
                ExecutionResult& result, VisitedSet* visited);
-  /// Destroys the recycled Runtime while its arena is armed (arena-backed
-  /// event deletes must no-op), freeing the heap-backed setup prototypes
-  /// after disarming, then rewinds the arena.
-  void DropRecycledRuntime();
+  /// Destroys the Runtime while its arena is armed (arena-backed event
+  /// deletes must no-op), freeing the heap-backed setup prototypes after
+  /// disarming, then rewinds the arena.
+  void DropRuntime();
 
   const TestConfig& config_;
   const Harness& harness_;
@@ -345,9 +336,70 @@ class ExecutionRunner {
   obs::WorkerObs* obs_;
   RuntimeOptions options_;  ///< built once; probe wired at construction
   std::unique_ptr<detail::EventArena> arena_;
-  std::unique_ptr<Runtime> runtime_;  ///< the recycled Runtime (kRecycling)
+  std::unique_ptr<Runtime> runtime_;  ///< outlives RunOne only when sealed
   Mode mode_ = Mode::kProbing;
 };
+
+/// Visited-set options implied by a stateful `config`. Creates the spill
+/// directory; failure to create it is non-fatal (runs then stay in memory).
+TieredOptions VisitedSetOptions(const TestConfig& config);
+
+/// Cross-worker state of one campaign: what every worker dedups against and
+/// feeds, when the campaign started, and the first-bug-wins race. The serial
+/// engine runs a campaign of one worker.
+struct Campaign {
+  VisitedSet* visited = nullptr;            ///< stateful runs: shared set
+  corpus::TraceCorpus* corpus = nullptr;    ///< fed by stateful runs
+  obs::CampaignMetrics* metrics = nullptr;  ///< per-execution flush target
+  bool coverage = false;                    ///< with metrics: heatmaps too
+  std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();     ///< time-budget origin
+  std::atomic<bool> stop{false};            ///< set by a stopping winner
+  std::atomic<int> winner{-1};              ///< worker that claimed a bug
+  /// The winner's buggy execution: written only by the winner, read only
+  /// after every worker has returned.
+  ExecutionResult bug;
+  std::uint64_t bug_iteration = 0;  ///< winner-local, 0-based
+  double bug_seconds = 0.0;         ///< from `start`
+};
+
+/// One worker's share of a campaign, as its loop leaves it.
+struct WorkerTally {
+  std::string strategy_name;
+  std::uint64_t executions = 0;
+  std::uint64_t steps = 0;
+  bool bug_found = false;      ///< this worker hit a violation
+  bool won = false;            ///< ... and claimed the first-bug-wins race
+  double seconds = 0.0;        ///< worker wall time
+  // Stateful runs: this worker's share of the shared visited set's traffic.
+  std::uint64_t pruned_executions = 0;
+  std::uint64_t fingerprint_hits = 0;
+  std::uint64_t fingerprint_misses = 0;
+  /// Fault runs: faults this worker injected (summed over its executions).
+  Runtime::FaultStats injected_faults;
+  /// This worker's coverage slice (nullptr unless the campaign collects
+  /// coverage).
+  std::shared_ptr<const obs::CoverageReport> coverage;
+};
+
+/// The campaign loop (the paper's §2 engine): runs `config.iterations`
+/// executions of one worker on the calling thread, until the campaign's
+/// time budget or stop flag, or this worker's first bug under
+/// stop_on_first_bug. `config` is the worker's own: its strategy, seed,
+/// budget and fault budgets. Per execution, in this order: RunOne, tally,
+/// corpus feed, `on_iteration`, first-bug claim.
+WorkerTally RunCampaignWorker(const TestConfig& config, const Harness& harness,
+                              int worker, Campaign& campaign,
+                              const IterationCallback& on_iteration);
+
+/// Adds a worker's totals to an aggregate report.
+void AddWorkerTally(TestReport& report, const WorkerTally& tally);
+
+/// Fills the campaign-level fields of `report` once every worker has
+/// returned: the stateful and fault aggregates and, when a worker claimed a
+/// bug, the bug fields (the witness trace moves out of `campaign`).
+void FinishCampaignReport(TestReport& report, const TestConfig& config,
+                          Campaign& campaign);
 
 /// Systematic testing engine. Thread-compatible; one engine per thread.
 class TestingEngine {

@@ -78,8 +78,8 @@ std::unique_ptr<const Event> CloneEvent(const Event& ev) {
 
 namespace {
 
-// Trivially-destructible TLS (single fs-relative load, no init guard, no
-// teardown ordering hazard) — same scheme as g_event_pool below.
+// Trivially-destructible TLS: a single fs-relative load, no init guard, no
+// teardown ordering hazard.
 thread_local EventArena* g_armed_arena = nullptr;
 thread_local EventAllocStats g_alloc_stats;
 
@@ -145,109 +145,24 @@ ScopedEventArenaPause::~ScopedEventArenaPause() { g_armed_arena = previous_; }
 
 }  // namespace detail
 
-namespace {
-
-// Event free-list pool: bins of 16 bytes up to 512, bounded per bin so a
-// pathological burst cannot pin unbounded memory. Everything is
-// thread-local; the destructor returns retained blocks to the system when a
-// (worker) thread exits.
-constexpr std::size_t kBinStep = 16;
-constexpr std::size_t kMaxPooledSize = 512;
-constexpr std::size_t kNumBins = kMaxPooledSize / kBinStep;
-constexpr std::size_t kMaxPerBin = 1024;
-
-struct EventPool {
-  struct FreeList {
-    void* head = nullptr;
-    std::size_t count = 0;
-  };
-  FreeList bins[kNumBins];
-
-  ~EventPool() {
-    for (FreeList& bin : bins) {
-      while (bin.head != nullptr) {
-        void* next = *static_cast<void**>(bin.head);
-        ::operator delete(bin.head);
-        bin.head = next;
-      }
-    }
-  }
-};
-
-// Split TLS scheme: the raw pointer is trivially-destructible, so reads
-// compile to one fs-relative load instead of the per-access init-guard
-// wrapper call a thread_local with a destructor would cost. The owning
-// object (and its thread-exit cleanup) lives behind the cold init path; its
-// destructor clears the pointer so late frees during thread teardown fall
-// back to the global allocator instead of touching freed bins.
-struct EventPoolOwner {
-  EventPool pool;
-  ~EventPoolOwner();
-};
-
-thread_local EventPool* g_event_pool = nullptr;
-
-EventPoolOwner::~EventPoolOwner() { g_event_pool = nullptr; }
-
-EventPool* InitEventPool() {
-  thread_local EventPoolOwner owner;
-  g_event_pool = &owner.pool;
-  return &owner.pool;
-}
-
-}  // namespace
-
 void* Event::operator new(std::size_t size) {
-  // Execution-scoped arena (armed by ExecutionRunner while a recycled
-  // Runtime runs one execution): bump-allocate, reclaim in bulk at the
-  // execution-end epoch rewind. See core/event_arena.h.
+  // Execution-scoped arena (armed by ExecutionRunner around every execution):
+  // bump-allocate, reclaim in bulk at the execution-end epoch rewind. See
+  // core/event_arena.h.
   if (detail::EventArena* arena = detail::ArmedEventArena();
       arena != nullptr) {
     return arena->Allocate(size);
   }
-  detail::EventAllocStats& stats = detail::ThreadEventAllocStats();
-  if (size <= kMaxPooledSize) {
-    EventPool* pool = g_event_pool;
-    if (pool == nullptr) [[unlikely]] {
-      pool = InitEventPool();
-    }
-    const std::size_t bin = (size + kBinStep - 1) / kBinStep - 1;
-    EventPool::FreeList& list = pool->bins[bin];
-    if (list.head != nullptr) {
-      void* ptr = list.head;
-      list.head = *static_cast<void**>(ptr);
-      --list.count;
-      ++stats.pool_hits;
-      return ptr;
-    }
-    ++stats.pool_misses;
-    return ::operator new((bin + 1) * kBinStep);
-  }
-  ++stats.pool_misses;
   return ::operator new(size);
 }
 
-void Event::operator delete(void* ptr, std::size_t size) noexcept {
-  if (ptr == nullptr) {
-    return;
-  }
+void Event::operator delete(void* ptr) noexcept {
   // While an arena is armed, every live event on this thread is arena-backed
   // (heap-backed survivors — the sealed setup prototypes — are only freed
   // after disarming, see Runtime::TakeSetupPrototypes). Freeing is the epoch
   // rewind's job; individual deletes are no-ops.
   if (detail::ArmedEventArena() != nullptr) {
     return;
-  }
-  EventPool* pool = g_event_pool;
-  if (pool != nullptr && size <= kMaxPooledSize) {
-    const std::size_t bin = (size + kBinStep - 1) / kBinStep - 1;
-    EventPool::FreeList& list = pool->bins[bin];
-    if (list.count < kMaxPerBin) {
-      *static_cast<void**>(ptr) = list.head;
-      list.head = ptr;
-      ++list.count;
-      return;
-    }
   }
   ::operator delete(ptr);
 }

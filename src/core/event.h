@@ -140,15 +140,16 @@ class Event {
   /// information, and we did so in all of our case studies" (§6.2).
   [[nodiscard]] virtual std::string Name() const;
 
-  /// Pooled allocation: every scheduling step allocates and frees at least
-  /// one event, so events recycle through a thread-local, size-binned free
-  /// list — steady-state send/dispatch does no malloc. Thread-local means no
-  /// synchronization and no cross-thread sharing (each parallel-exploration
-  /// worker owns its pool; it is released at thread exit). Over-aligned
-  /// event types fall through to the aligned global operator new
-  /// automatically, since only these two forms are overridden.
+  /// Arena allocation: every scheduling step allocates and frees at least
+  /// one event, so while an ExecutionRunner runs an execution, events are
+  /// bump-allocated from its thread-affine arena and deletes are no-ops
+  /// (core/event_arena.h) — steady-state send/dispatch does no malloc.
+  /// Outside an armed arena (Replay, hand-built Runtimes, the sealed setup
+  /// prototypes) these forward to the global operator new/delete.
+  /// Over-aligned event types fall through to the aligned global operator
+  /// new automatically, since only these two forms are overridden.
   static void* operator new(std::size_t size);
-  static void operator delete(void* ptr, std::size_t size) noexcept;
+  static void operator delete(void* ptr) noexcept;
 
  protected:
   /// Copyable by derived event types only — the fault plane's duplication

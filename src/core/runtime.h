@@ -930,7 +930,7 @@ class Runtime {
   /// are heap-backed (cloned under ScopedEventArenaPause), so a caller about
   /// to destroy a recycled Runtime while its arena is armed — making every
   /// other Event delete a no-op — must free them AFTER disarming, by taking
-  /// them first and letting the returned vector die on the pool path.
+  /// them first and letting the returned vector die on the heap path.
   [[nodiscard]] std::vector<std::unique_ptr<const Event>>
   TakeSetupPrototypes() noexcept;
 

@@ -216,14 +216,25 @@ std::size_t TraceCorpus::SaveDir(const std::string& dir) const {
     }
   }
 
-  const std::string index_path = (fs::path(dir) / "corpus.index").string();
-  std::ofstream out(index_path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("corpus: cannot write " + index_path);
+  // The index is written beside the old one and renamed over it, so a save
+  // killed midway leaves the previous index intact, never a truncated one.
+  const fs::path index_path = fs::path(dir) / "corpus.index";
+  const fs::path tmp_path = fs::path(dir) / "corpus.index.tmp";
+  {
+    std::ofstream out(tmp_path, std::ios::trunc);
+    if (!out) {
+      throw std::runtime_error("corpus: cannot write " + tmp_path.string());
+    }
+    out << "systest-corpus v1 " << written << '\n' << index_body.str();
+    if (!out.flush()) {
+      throw std::runtime_error("corpus: write failed for " +
+                               tmp_path.string());
+    }
   }
-  out << "systest-corpus v1 " << written << '\n' << index_body.str();
-  if (!out.flush()) {
-    throw std::runtime_error("corpus: write failed for " + index_path);
+  fs::rename(tmp_path, index_path, ec);
+  if (ec) {
+    throw std::runtime_error("corpus: cannot replace " + index_path.string() +
+                             ": " + ec.message());
   }
   return written;
 }

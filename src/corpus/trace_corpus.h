@@ -100,8 +100,10 @@ class TraceCorpus {
   /// Persists every entry under `dir` (created if missing): one
   /// "t<hash>.trace" file per entry plus a "corpus.index" metadata file
   /// ("systest-corpus v1 <n>" header, then one "<hash> <new_states> <heat>
-  /// <spawned> <file>" line per entry). Returns entries written; throws
-  /// std::runtime_error on I/O failure.
+  /// <spawned> <file>" line per entry). The index is written to
+  /// "corpus.index.tmp" and renamed over the old one, so a save killed
+  /// midway leaves the previous corpus loadable. Returns entries written;
+  /// throws std::runtime_error on I/O failure.
   std::size_t SaveDir(const std::string& dir) const;
 
   /// Loads a SaveDir directory, restoring energy bookkeeping. Duplicates of

@@ -2,14 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
-#include <system_error>
 #include <thread>
 #include <utility>
 
-#include "api/strategy_registry.h"
-#include "corpus/trace_corpus.h"
 #include "explore/sharded_fingerprint_set.h"
 #include "obs/campaign.h"
 
@@ -29,13 +25,26 @@ int ResolveThreads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// Winning bug payload. Each slot is written only by the worker that claimed
-/// the first-bug-wins race, and read only after the workers joined.
-struct WorkerBug {
-  ExecutionResult result;
-  std::uint64_t iteration = 0;  ///< worker-local, 0-based
-  double seconds = 0.0;         ///< from the run's start
-};
+/// The worker's own config: the fleet config narrowed to its assignment's
+/// strategy, seed range and fault budgets. Plan shards carry their own fault
+/// budgets (portfolio races fault-free workers against fault-heavy ones), so
+/// each worker explores under ITS assignment's budgets, not the fleet's.
+TestConfig WorkerConfig(const TestConfig& config,
+                        const WorkerAssignment& assignment) {
+  TestConfig worker = config;
+  worker.strategy = assignment.strategy;
+  worker.strategy_budget = assignment.strategy_budget;
+  worker.seed = assignment.seed;
+  worker.iterations = assignment.iterations;
+  worker.max_crashes = assignment.max_crashes;
+  worker.max_restarts = assignment.max_restarts;
+  worker.drop_probability_den = assignment.drop_probability_den;
+  worker.max_duplications = assignment.max_duplications;
+  worker.max_partitions = assignment.max_partitions;
+  worker.partition_heal_den = assignment.partition_heal_den;
+  worker.fault_placement_points = assignment.fault_placement_points;
+  return worker;
+}
 
 }  // namespace
 
@@ -85,124 +94,32 @@ ParallelTestReport ParallelTestingEngine::Run() {
   const int n = static_cast<int>(assignments.size());
   report.workers.resize(static_cast<std::size_t>(n));
 
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> executions{0};  // lock-free progress counters
-  std::atomic<std::uint64_t> steps{0};
-  std::atomic<int> winner{-1};
-  std::vector<WorkerBug> bugs(static_cast<std::size_t>(n));
-
   // Stateful exploration: ONE visited set for the whole fleet, so a state
   // any worker discovered prunes every other worker's reconverging
   // schedules (sharded + striped-locked; see sharded_fingerprint_set.h).
   std::unique_ptr<ShardedFingerprintSet> visited;
   if (config_.stateful) {
-    TieredOptions visited_options;
-    visited_options.max_entries = static_cast<std::size_t>(config_.max_visited);
-    visited_options.hot_entries =
-        static_cast<std::size_t>(config_.max_visited_hot);
-    visited_options.spill_dir = config_.visited_spill_dir;
-    if (!visited_options.spill_dir.empty()) {
-      // Creation failure is non-fatal: runs then stay in memory.
-      std::error_code ec;
-      std::filesystem::create_directories(visited_options.spill_dir, ec);
-    }
-    visited = std::make_unique<ShardedFingerprintSet>(visited_options);
+    visited =
+        std::make_unique<ShardedFingerprintSet>(VisitedSetOptions(config_));
   }
-
-  const auto start = Clock::now();
+  Campaign campaign;
+  campaign.visited = visited.get();
+  campaign.corpus = options_.corpus;
+  campaign.metrics = options_.metrics;
+  campaign.coverage = options_.coverage;
 
   auto worker_fn = [&](int w) {
-    const WorkerAssignment& assignment = assignments[static_cast<std::size_t>(w)];
     WorkerReport& wr = report.workers[static_cast<std::size_t>(w)];
-    wr.assignment = assignment;
-
-    // Each worker owns a private strategy seeded from its assignment, and
-    // every Runtime it builds is thread-local: workers share nothing but the
-    // atomics above (and, under stateful, the sharded visited set). All
-    // seeding flows through the strategy.
-    const auto strategy = StrategyRegistry::Instance().Create(
-        assignment.strategy, assignment.seed, assignment.strategy_budget);
-    wr.strategy_name = strategy->Name();
-
-    // Plan shards carry their own fault budgets (portfolio races fault-free
-    // workers against fault-heavy ones), so each worker explores under the
-    // budgets of ITS assignment, not the fleet config's.
-    TestConfig worker_config = config_;
-    worker_config.max_crashes = assignment.max_crashes;
-    worker_config.max_restarts = assignment.max_restarts;
-    worker_config.drop_probability_den = assignment.drop_probability_den;
-    worker_config.max_duplications = assignment.max_duplications;
-    worker_config.max_partitions = assignment.max_partitions;
-    worker_config.partition_heal_den = assignment.partition_heal_den;
-    worker_config.fault_placement_points = assignment.fault_placement_points;
-
-    // Per-worker observability handle on the worker's own stack: the probe
-    // and coverage accumulator are private (lock-free), only the flush into
-    // the shared sharded instruments crosses threads.
-    std::unique_ptr<obs::WorkerObs> worker_obs;
-    if (options_.metrics != nullptr) {
-      worker_obs = std::make_unique<obs::WorkerObs>(
-          *options_.metrics, static_cast<std::size_t>(w), options_.coverage);
+    wr.assignment = assignments[static_cast<std::size_t>(w)];
+    IterationCallback on_iteration;
+    if (options_.on_iteration) {
+      on_iteration = [this, w](std::uint64_t i, const ExecutionResult& r) {
+        options_.on_iteration(w, i, r);
+      };
     }
-
-    // Thread-affine recycler: one sealed Runtime (and one event arena) per
-    // worker for its whole assignment when the harness opted in. Declared
-    // after strategy / worker_config / worker_obs — it borrows all three.
-    ExecutionRunner runner(worker_config, harness_, *strategy,
-                           worker_obs.get());
-
-    const auto worker_start = Clock::now();
-    for (std::uint64_t i = 0; i < assignment.iterations; ++i) {
-      if (stop.load(std::memory_order_relaxed)) break;
-      if (config_.time_budget_seconds > 0 &&
-          SecondsSince(start) >= config_.time_budget_seconds) {
-        break;
-      }
-      ExecutionResult result = runner.RunOne(i, visited.get());
-      ++wr.executions;
-      wr.steps += result.steps;
-      if (config_.stateful) {
-        wr.fingerprint_hits += result.fingerprint_hits;
-        wr.fingerprint_misses += result.fingerprint_misses;
-        if (result.pruned) ++wr.pruned_executions;
-      }
-      if (worker_config.FaultsEnabled()) {
-        wr.injected_faults += result.faults;
-      }
-      if (options_.corpus != nullptr && config_.stateful &&
-          (result.fingerprint_misses > 0 || result.bug_found)) {
-        // Every worker feeds the shared corpus — including blind portfolio
-        // workers, whose discoveries seed the mutate workers racing them.
-        // Before the first-bug CAS below moves the trace out.
-        options_.corpus->Add(
-            result.trace, result.fingerprint_misses,
-            worker_obs != nullptr ? worker_obs->LastNewStateCells() : 0);
-      }
-      executions.fetch_add(1, std::memory_order_relaxed);
-      steps.fetch_add(result.steps, std::memory_order_relaxed);
-      if (options_.on_iteration) options_.on_iteration(w, i, result);
-      if (result.bug_found) {
-        wr.bug_found = true;
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, w,
-                                           std::memory_order_acq_rel)) {
-          wr.won = true;
-          WorkerBug& slot = bugs[static_cast<std::size_t>(w)];
-          slot.result = std::move(result);
-          slot.iteration = i;
-          slot.seconds = SecondsSince(start);
-          if (config_.stop_on_first_bug) {
-            stop.store(true, std::memory_order_release);
-          }
-        }
-        if (config_.stop_on_first_bug) break;
-      }
-    }
-    wr.seconds = SecondsSince(worker_start);
-    if (worker_obs != nullptr && options_.coverage) {
-      wr.coverage =
-          std::make_shared<obs::CoverageReport>(worker_obs->TakeCoverage());
-    }
+    static_cast<WorkerTally&>(wr) =
+        RunCampaignWorker(WorkerConfig(config_, wr.assignment), harness_, w,
+                          campaign, on_iteration);
   };
 
   std::vector<std::thread> threads;
@@ -211,26 +128,9 @@ ParallelTestReport ParallelTestingEngine::Run() {
   for (std::thread& t : threads) t.join();
 
   TestReport& agg = report.aggregate;
-  agg.executions = executions.load(std::memory_order_relaxed);
-  agg.total_steps = steps.load(std::memory_order_relaxed);
-  agg.total_seconds = SecondsSince(start);
-  if (visited) {
-    agg.stateful = true;
-    agg.distinct_states = visited->Size();
-    agg.visited_budget = config_.max_visited;
-    agg.visited = visited->Stats();
-    for (const WorkerReport& w : report.workers) {
-      agg.pruned_executions += w.pruned_executions;
-      agg.fingerprint_hits += w.fingerprint_hits;
-      agg.fingerprint_misses += w.fingerprint_misses;
-    }
-  }
-  if (config_.FaultsEnabled()) {
-    agg.faults = true;
-    for (const WorkerReport& w : report.workers) {
-      agg.injected_faults += w.injected_faults;
-    }
-  }
+  agg.total_seconds = SecondsSince(campaign.start);
+  for (const WorkerReport& w : report.workers) AddWorkerTally(agg, w);
+  FinishCampaignReport(agg, config_, campaign);
   agg.strategy_name =
       (options_.portfolio ? std::string("portfolio") : config_.strategy.str()) +
       " x" + std::to_string(n);
@@ -244,21 +144,11 @@ ParallelTestReport ParallelTestingEngine::Run() {
     agg.coverage = std::move(merged);
   }
 
-  const int won = winner.load(std::memory_order_acquire);
+  const int won = campaign.winner.load(std::memory_order_acquire);
   report.winning_worker = won;
   if (won >= 0) {
-    WorkerBug& bug = bugs[static_cast<std::size_t>(won)];
-    agg.bug_found = true;
-    agg.bug_kind = bug.result.bug_kind;
-    agg.bug_message = bug.result.bug_message;
-    agg.bug_iteration = bug.iteration + 1;  // winner-local numbering
-    agg.seconds_to_bug = bug.seconds;
-    agg.ndc = bug.result.trace.Size();
-    agg.bug_steps = bug.result.steps;
-    agg.bug_trace = std::move(bug.result.trace);
     agg.strategy_name =
         report.workers[static_cast<std::size_t>(won)].strategy_name;
-
     if (options_.verify_replay) {
       // The trace must witness the bug anywhere, not just inside the worker
       // that recorded it: replay it on THIS thread through the plain serial

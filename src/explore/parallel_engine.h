@@ -59,24 +59,12 @@ struct ParallelOptions {
   corpus::TraceCorpus* corpus = nullptr;
 };
 
-/// Per-worker slice of the merged report — the per-strategy breakdown.
-struct WorkerReport {
+/// Per-worker slice of the merged report — the per-strategy breakdown: the
+/// worker's campaign-loop tally plus its plan assignment. With
+/// ParallelOptions::coverage, aggregate.coverage is exactly the Merge of the
+/// per-worker coverage slices, pinned by tests.
+struct WorkerReport : WorkerTally {
   WorkerAssignment assignment;
-  std::string strategy_name;
-  std::uint64_t executions = 0;
-  std::uint64_t steps = 0;
-  bool bug_found = false;      ///< this worker hit a violation
-  bool won = false;            ///< ... and claimed the first-bug-wins race
-  double seconds = 0.0;        ///< worker wall time
-  // Stateful runs: this worker's share of the shared visited set's traffic.
-  std::uint64_t pruned_executions = 0;
-  std::uint64_t fingerprint_hits = 0;
-  std::uint64_t fingerprint_misses = 0;
-  /// Fault runs: faults this worker injected (summed over its executions).
-  Runtime::FaultStats injected_faults;
-  /// This worker's coverage slice (nullptr unless ParallelOptions::coverage).
-  /// aggregate.coverage is exactly the Merge of these, pinned by tests.
-  std::shared_ptr<const obs::CoverageReport> coverage;
 };
 
 struct ParallelTestReport {

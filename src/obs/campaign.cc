@@ -37,8 +37,6 @@ CampaignMetrics::CampaignMetrics(MetricsRegistry& registry)
       fault_restarts(registry.GetCounter(names::kFaultRestarts)),
       fault_drops(registry.GetCounter(names::kFaultDrops)),
       fault_duplications(registry.GetCounter(names::kFaultDuplications)),
-      event_pool_hits(registry.GetCounter(names::kEventPoolHits)),
-      event_pool_misses(registry.GetCounter(names::kEventPoolMisses)),
       event_arena_allocations(
           registry.GetCounter(names::kEventArenaAllocations)),
       event_arena_bytes_high_water(
@@ -140,8 +138,6 @@ void WorkerObs::FlushExecution(const Runtime& runtime,
   }
   const systest::detail::EventAllocStats& alloc =
       systest::detail::ThreadEventAllocStats();
-  metrics.event_pool_hits.Add(alloc.pool_hits - last_alloc_.pool_hits);
-  metrics.event_pool_misses.Add(alloc.pool_misses - last_alloc_.pool_misses);
   metrics.event_arena_allocations.Add(alloc.arena_allocations -
                                       last_alloc_.arena_allocations);
   if (alloc.arena_bytes_high_water >

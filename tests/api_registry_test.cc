@@ -135,9 +135,10 @@ TEST(StrategyRegistry, UnknownNameErrorListsRegisteredStrategies) {
   }
 }
 
-TEST(StrategyRegistry, DeprecatedEnumShimStillConstructs) {
-  const auto strategy = systest::MakeStrategy(systest::StrategyKind::kPct,
-                                              /*seed=*/1, /*budget=*/4);
+TEST(StrategyRegistry, BudgetArgumentAppearsInName) {
+  const auto strategy = StrategyRegistry::Instance().Create("pct",
+                                                            /*seed=*/1,
+                                                            /*budget=*/4);
   EXPECT_EQ(strategy->Name(), "pct(4)");
 }
 

@@ -60,7 +60,8 @@ BudgetOutcome RunRecycled(const TestConfig& config,
   return out;
 }
 
-/// Runs the same budget through the pre-existing fresh-Runtime path.
+/// Runs the same budget on a fresh Runtime per execution: a new runner per
+/// iteration, whose only RunOne always builds a fresh Runtime.
 BudgetOutcome RunFresh(const TestConfig& config,
                        const systest::Harness& harness,
                        std::uint64_t iterations) {
@@ -70,8 +71,8 @@ BudgetOutcome RunFresh(const TestConfig& config,
   FingerprintSet visited(static_cast<std::size_t>(config.max_visited));
   systest::VisitedSet* visited_ptr = config.stateful ? &visited : nullptr;
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    out.results.push_back(systest::RunOneExecution(config, harness, *strategy,
-                                                   i, visited_ptr, nullptr));
+    ExecutionRunner runner(config, harness, *strategy, nullptr);
+    out.results.push_back(runner.RunOne(i, visited_ptr));
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,28 @@ TEST(TraceCorpusPersistence, ReloadIntoNonEmptyCorpusSkipsDuplicates) {
   EXPECT_EQ(loader.Stats().duplicates, 1u);
 }
 
+TEST(TraceCorpusPersistence, SaveIsAtomicAgainstAPartialIndex) {
+  namespace fs = std::filesystem;
+  const std::string dir = ScratchDir("atomic");
+  TraceCorpus saver;
+  ASSERT_TRUE(saver.Add(MakeTrace(1), 2, 0));
+  ASSERT_TRUE(saver.Add(MakeTrace(2), 1, 0));
+  ASSERT_EQ(saver.SaveDir(dir), 2u);
+  // A completed save leaves only the index, never its temporary.
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "corpus.index"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "corpus.index.tmp"));
+
+  // A save killed mid-write leaves a partial temporary beside the good
+  // index; the next load must ignore it and restore the good corpus.
+  {
+    std::ofstream partial(fs::path(dir) / "corpus.index.tmp");
+    partial << "systest-corpus v1 9\n0123";
+  }
+  TraceCorpus loader;
+  EXPECT_EQ(loader.LoadDir(dir), 2u);
+  EXPECT_EQ(loader.Size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // MutationStrategy: determinism and prefix replay.
 
@@ -194,10 +217,10 @@ TEST(MutationStrategy, SameSeedSameCorpusSameExecutions) {
         systest::api::ScenarioRegistry::Instance().Get("samplerepl-fixed");
     const systest::Harness harness = scenario.make(systest::api::ParamMap{});
     systest::FingerprintSet visited(1u << 16);
+    systest::ExecutionRunner runner(config, harness, strategy, nullptr);
     std::vector<std::string> traces;
     for (std::uint64_t i = 0; i < config.iterations; ++i) {
-      const ExecutionResult r =
-          systest::RunOneExecution(config, harness, strategy, i, &visited);
+      const ExecutionResult r = runner.RunOne(i, &visited);
       traces.push_back(r.trace.ToString());
     }
     return traces;

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 
+#include "api/scenario_registry.h"
 #include "api/strategy_registry.h"
 #include "core/systest.h"
 #include "corpus/trace_corpus.h"
@@ -29,6 +30,8 @@ using systest::TestConfig;
 using systest::TestingEngine;
 using systest::TestReport;
 using systest::Trace;
+using systest::corpus::ScopedActiveCorpus;
+using systest::corpus::TraceCorpus;
 using systest::explore::ExplorationPlan;
 using systest::explore::ParallelOptions;
 using systest::explore::ParallelTestingEngine;
@@ -207,6 +210,60 @@ TEST(ParallelEngine, SingleWorkerMatchesSerialEngine) {
   ASSERT_TRUE(sreport.bug_found);
   EXPECT_EQ(preport.aggregate.bug_trace, sreport.bug_trace);
   EXPECT_EQ(preport.aggregate.bug_iteration, sreport.bug_iteration);
+}
+
+TEST(ParallelEngine, SingleWorkerMatchesSerialEngineStatefulFaultsCorpus) {
+  // Both front ends drive the same campaign loop, so with every optional
+  // layer on (stateful dedup, the fault plane, a fed and sampled corpus) a
+  // 1-worker fleet must tally exactly what the serial engine tallies.
+  const systest::api::Scenario& scenario =
+      systest::api::ScenarioRegistry::Instance().Get("samplerepl-node-crash");
+  const Harness harness = scenario.make(systest::api::ParamMap{});
+  TestConfig config = scenario.default_config();
+  config.iterations = 400;
+  config.seed = 11;
+  config.strategy = "mutate";
+  config.stateful = true;
+  config.corpus_mutation = true;
+  // Run the whole budget past the first bug, so the tallies cover pruned
+  // executions and later buggy ones too.
+  config.stop_on_first_bug = false;
+
+  TraceCorpus serial_corpus;
+  TestReport serial;
+  {
+    const ScopedActiveCorpus active(&serial_corpus);
+    TestingEngine engine(config, harness);
+    engine.SetCorpus(&serial_corpus);
+    serial = engine.Run();
+  }
+  TraceCorpus parallel_corpus;
+  ParallelTestReport preport;
+  {
+    const ScopedActiveCorpus active(&parallel_corpus);
+    ParallelOptions options;
+    options.threads = 1;
+    options.corpus = &parallel_corpus;
+    preport = ParallelTestingEngine(config, harness, options).Run();
+  }
+  const TestReport& parallel = preport.aggregate;
+
+  ASSERT_TRUE(serial.bug_found) << serial.Summary();
+  EXPECT_EQ(serial.executions, config.iterations);
+  EXPECT_GT(serial.pruned_executions, 0u);
+  EXPECT_GT(serial.injected_faults.Total(), 0u);
+  EXPECT_GT(serial_corpus.Stats().added, 0u);
+  EXPECT_EQ(parallel.executions, serial.executions);
+  EXPECT_EQ(parallel.total_steps, serial.total_steps);
+  EXPECT_EQ(parallel.pruned_executions, serial.pruned_executions);
+  EXPECT_EQ(parallel.fingerprint_hits, serial.fingerprint_hits);
+  EXPECT_EQ(parallel.fingerprint_misses, serial.fingerprint_misses);
+  EXPECT_EQ(parallel.distinct_states, serial.distinct_states);
+  EXPECT_EQ(parallel.injected_faults, serial.injected_faults);
+  EXPECT_EQ(parallel_corpus.Stats().added, serial_corpus.Stats().added);
+  EXPECT_EQ(parallel.bug_found, serial.bug_found);
+  EXPECT_EQ(parallel.bug_trace, serial.bug_trace);
+  EXPECT_EQ(parallel.bug_iteration, serial.bug_iteration);
 }
 
 TEST(ParallelEngine, PortfolioModeFindsBug) {

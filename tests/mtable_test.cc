@@ -55,16 +55,17 @@ TEST(MTableFixed, SurvivesWithBiggerWorkload) {
 }
 
 // One parameterized sweep over all eleven Table 2 bugs: each must be found
-// by the random scheduler within the budget.
+// by the random scheduler within the paper's 100k-execution budget. The
+// budget is executions only, never wall clock, so the verdict is the same
+// under sanitizers as in Release.
 class MTableBugSweep : public ::testing::TestWithParam<MTableBugId> {};
 
 TEST_P(MTableBugSweep, RandomSchedulerFindsBug) {
   MigrationHarnessOptions options;
   options.bugs = EnableBug(GetParam());
-  TestConfig config = Config("random", 100'000);
-  config.time_budget_seconds = 60;
   const TestReport report =
-      TestingEngine(config, MakeMigrationHarness(options)).Run();
+      TestingEngine(Config("random", 100'000), MakeMigrationHarness(options))
+          .Run();
   ASSERT_TRUE(report.bug_found)
       << ToString(GetParam()) << ": " << report.Summary();
   EXPECT_EQ(report.bug_kind, BugKind::kSafety);
